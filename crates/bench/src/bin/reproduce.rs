@@ -14,7 +14,7 @@
 //! Xeon); the *shape* claims are what each experiment checks.
 
 use pinpoint_bench::{fit, measure, CountingAlloc, Measurement};
-use pinpoint_core::{Analysis, CheckerKind, Report};
+use pinpoint_core::{Analysis, CheckerKind, Report, Workspace};
 use pinpoint_workload::{
     generate, generate_juliet, generate_subject, GenConfig, Subject, SUBJECTS,
 };
@@ -678,9 +678,8 @@ fn ablations() {
         taint: false,
         ..GenConfig::default().with_target_kloc(20.0)
     });
-    let (outcome, full_m) =
-        measure(|| Analysis::from_source(&inc_project.source).expect("compiles"));
-    let mut analysis = outcome;
+    let (outcome, full_m) = measure(|| Workspace::open(&inc_project.source).expect("compiles"));
+    let mut ws = outcome;
     let edited = {
         let needle = "fn filler1(";
         let start = inc_project.source.find(needle).expect("filler1");
@@ -691,14 +690,10 @@ fn ablations() {
             &inc_project.source[brace..]
         )
     };
-    let (outcome, inc_m) = measure(|| {
-        analysis
-            .update_incremental(&edited)
-            .expect("incremental update")
-    });
+    let (outcome, inc_m) = measure(|| ws.update_source(&edited).expect("incremental update"));
     println!(
         "incremental: 1-function edit on {} functions → {} re-analysed; full build {} vs incremental update {}",
-        analysis.module.funcs.len(),
+        ws.analysis().module.funcs.len(),
         outcome.reanalyzed,
         fmt_dur(full_m.time),
         fmt_dur(inc_m.time)

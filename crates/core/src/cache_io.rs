@@ -402,8 +402,14 @@ pub fn load_verdicts(dir: &Path) -> VerdictTable {
 /// frame). Failures are swallowed — the next run just starts cold.
 pub fn persist_verdicts(dir: &Path, table: &VerdictTable) {
     if let Ok(mut store) = CacheStore::open(dir) {
-        store.store("verdicts", verdict_store_key(), &encode_verdicts(table));
+        store_verdicts(&mut store, table);
     }
+}
+
+/// [`persist_verdicts`] through an already-open store, whose counters
+/// then include the write.
+pub(crate) fn store_verdicts(store: &mut CacheStore, table: &VerdictTable) {
+    store.store("verdicts", verdict_store_key(), &encode_verdicts(table));
 }
 
 // ---------------------------------------------------------------------

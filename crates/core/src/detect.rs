@@ -424,29 +424,23 @@ fn run_sources(
     out
 }
 
+/// Output of one detection pass: reports, stats, per-query attribution,
+/// the verdicts newly solved during the pass (fingerprint → verdict), and
+/// the query-cache reuse split (all zero without a cache).
+#[derive(Debug)]
+pub(crate) struct DetectOutput {
+    pub reports: Vec<Report>,
+    pub stats: DetectStats,
+    pub queries: Vec<QueryRecord>,
+    pub new_verdicts: Vec<(u128, Verdict)>,
+    pub reuse: QueryReuse,
+}
+
 /// Replays per-source outcomes in canonical source order against a global
 /// seen-set, producing reports, statistics, and query attribution exactly
 /// as a single-threaded pass over the same results would. A pure function
-/// of the outcomes, so replaying a mix of cached and freshly-computed
-/// outcomes is byte-identical to replaying all-fresh ones.
-/// Output of one detection pass: reports, stats, per-query attribution,
-/// and the verdicts newly solved during the pass (fingerprint → verdict).
-pub(crate) type DetectOutput = (
-    Vec<Report>,
-    DetectStats,
-    Vec<QueryRecord>,
-    Vec<(u128, Verdict)>,
-);
-
-/// A [`DetectOutput`] plus the query-cache reuse split of a cached pass.
-pub(crate) type CachedDetectOutput = (
-    Vec<Report>,
-    DetectStats,
-    Vec<QueryRecord>,
-    QueryReuse,
-    Vec<(u128, Verdict)>,
-);
-
+/// of the outcomes, so replaying a mix of cached, gated, and
+/// freshly-computed outcomes is byte-identical to replaying all-fresh ones.
 fn merge_outcomes(
     module: &Module,
     spec: &Spec,
@@ -523,7 +517,13 @@ fn merge_outcomes(
             }
         }
     }
-    (reports, stats, queries, new_verdicts)
+    DetectOutput {
+        reports,
+        stats,
+        queries,
+        new_verdicts,
+        reuse: QueryReuse::default(),
+    }
 }
 
 /// One detection worker: owns private copies of the condition vocabulary
@@ -579,6 +579,26 @@ struct Worker<'cx, 'a> {
 /// seen-set, counting candidates and emitting reports exactly as a
 /// single-threaded pass over the same per-source results would.
 ///
+/// Two optional inputs plug into the one search:
+///
+/// * `gate` — prebuilt whole-program interface summaries
+///   ([`crate::vfsummary::ModuleSummaries`]). Sources the gate proves
+///   fruitless get a synthesised empty outcome instead of a search, and
+///   the `summary_*` statistics are stamped from the summaries.
+/// * `cache` — the current per-function transitive keys of the
+///   *pre-transform* module (`pinpoint_cache::module_keys` order) and a
+///   per-source [`QueryCache`]. A source whose recomputed cone
+///   fingerprint still matches its cached entry replays the cached
+///   outcome — including the verdict counters and costs recorded when it
+///   was computed, so solver-side statistics reflect the work actually
+///   performed. Fresh outcomes are written back. Gated sources bypass
+///   the cache: their cached cone would not cover the summary
+///   consultations the gate made.
+///
+/// Gated, cached, and fresh outcomes all feed the same canonical merge,
+/// so reports and query attribution are byte-identical to an ungated,
+/// uncached run at any thread count.
+///
 /// Besides reports and statistics, every evaluated candidate — including
 /// those a later dedup suppresses, since each was really solved — comes
 /// back as a [`QueryRecord`] with its solver cost, ids assigned in the
@@ -587,26 +607,82 @@ struct Worker<'cx, 'a> {
 /// a worker-private buffer merged at the join.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_spec(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
+    analysis: &crate::driver::Analysis,
     verdicts: &VerdictTable,
     spec: &Spec,
     kind: Option<CheckerKind>,
     config: DetectConfig,
     threads: usize,
     trace: &mut TraceBuf,
+    gate: Option<&crate::vfsummary::ModuleSummaries>,
+    mut cache: Option<(&[u128], &mut QueryCache)>,
 ) -> DetectOutput {
-    let cx = SpecContext::build(module, segs, spec, kind, config);
+    let (module, segs) = (&analysis.module, &analysis.segs);
+    let spec_fp = spec_fingerprint(spec, &config);
     let sources = enumerate_sources(module, spec);
-    let outcomes = run_sources(&cx, &sources, symbols, arena, verdicts, threads, trace);
-    let (mut reports, stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    if threads > 1 && faults::drop_last_report_mt() {
-        reports.pop();
+    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
+    let mut rerun: Vec<(usize, (FuncId, SourceSite))> = Vec::new();
+    let mut gated = 0u64;
+    for (i, &(fid, s)) in sources.iter().enumerate() {
+        if gate.is_some_and(|sums| !sums.source_fruitful(module, segs, spec, fid, s)) {
+            gated += 1;
+            slots.push(Some(gated_outcome(fid)));
+            continue;
+        }
+        let hit = cache.as_ref().and_then(|(keys, qc)| {
+            let e = qc.entries.get(&(spec_fp, fid, s.site, s.value))?;
+            (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
+        });
+        if hit.is_none() {
+            rerun.push((i, (fid, s)));
+        }
+        slots.push(hit);
     }
-    (reports, stats, queries, new_verdicts)
+    let reuse = QueryReuse {
+        reused: sources.len() as u64 - gated - rerun.len() as u64,
+        rerun: rerun.len() as u64,
+    };
+    if !rerun.is_empty() {
+        let cx = SpecContext::build(module, segs, spec, kind, config);
+        let rerun_sources: Vec<(FuncId, SourceSite)> = rerun.iter().map(|&(_, src)| src).collect();
+        let fresh = run_sources(
+            &cx,
+            &rerun_sources,
+            &analysis.pta.symbols,
+            &analysis.arena,
+            verdicts,
+            threads,
+            trace,
+        );
+        for ((slot, (fid, s)), outcome) in rerun.into_iter().zip(fresh) {
+            if let Some((keys, qc)) = cache.as_mut() {
+                if let Some(cone_fp) = cone_fingerprint(&outcome, segs, keys) {
+                    let entry = CachedSource {
+                        cone_fp,
+                        outcome: outcome.clone(),
+                    };
+                    qc.entries.insert((spec_fp, fid, s.site, s.value), entry);
+                }
+            }
+            slots[slot] = Some(outcome);
+        }
+    }
+    let outcomes: Vec<SourceOutcome> = slots
+        .into_iter()
+        .map(|s| s.expect("every source slot filled"))
+        .collect();
+    let mut out = merge_outcomes(module, spec, sources.len(), outcomes);
+    out.reuse = reuse;
+    if let Some(sums) = gate {
+        out.stats.summary_gated = gated;
+        out.stats.summary_built = sums.built;
+        out.stats.summary_reused = sums.reused;
+        out.stats.summary_composed = sums.composed;
+    }
+    if threads > 1 && faults::drop_last_report_mt() {
+        out.reports.pop();
+    }
+    out
 }
 
 /// Test-only fault injection points.
@@ -785,88 +861,6 @@ fn cone_fingerprint(out: &SourceOutcome, segs: &ModuleSeg, keys: &[u128]) -> Opt
     Some(h.finish())
 }
 
-/// [`run_spec`] with a per-source query cache: sources whose recomputed
-/// cone fingerprint still matches their cached entry are answered from
-/// the cache; only the rest are re-searched. All outcomes — cached and
-/// fresh — feed the same canonical merge, so the reports are
-/// byte-identical to an uncached run. A cached outcome replays the
-/// verdict counters and costs recorded when it was computed (its
-/// verdict snapshot may predate the current one), so solver-side
-/// statistics reflect the work actually performed, not a hypothetical
-/// fresh run.
-///
-/// `keys` are the current per-function transitive fingerprint keys of
-/// the *pre-transform* module (`pinpoint_cache::module_keys` order).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec_cached(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
-    verdicts: &VerdictTable,
-    spec: &Spec,
-    kind: Option<CheckerKind>,
-    config: DetectConfig,
-    threads: usize,
-    trace: &mut TraceBuf,
-    keys: &[u128],
-    cache: &mut QueryCache,
-) -> CachedDetectOutput {
-    let spec_fp = spec_fingerprint(spec, &config);
-    let sources = enumerate_sources(module, spec);
-    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
-    let mut rerun: Vec<(usize, (FuncId, SourceSite))> = Vec::new();
-    for (i, &(fid, s)) in sources.iter().enumerate() {
-        let key = (spec_fp, fid, s.site, s.value);
-        let hit = cache.entries.get(&key).and_then(|e| {
-            (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
-        });
-        match hit {
-            Some(outcome) => slots.push(Some(outcome)),
-            None => {
-                slots.push(None);
-                rerun.push((i, (fid, s)));
-            }
-        }
-    }
-    let reuse = QueryReuse {
-        reused: (sources.len() - rerun.len()) as u64,
-        rerun: rerun.len() as u64,
-    };
-    if !rerun.is_empty() {
-        let cx = SpecContext::build(module, segs, spec, kind, config);
-        let rerun_sources: Vec<(FuncId, SourceSite)> = rerun.iter().map(|&(_, src)| src).collect();
-        let fresh = run_sources(
-            &cx,
-            &rerun_sources,
-            symbols,
-            arena,
-            verdicts,
-            threads,
-            trace,
-        );
-        for ((slot, (fid, s)), outcome) in rerun.into_iter().zip(fresh) {
-            if let Some(fp) = cone_fingerprint(&outcome, segs, keys) {
-                cache.entries.insert(
-                    (spec_fp, fid, s.site, s.value),
-                    CachedSource {
-                        cone_fp: fp,
-                        outcome: outcome.clone(),
-                    },
-                );
-            }
-            slots[slot] = Some(outcome);
-        }
-    }
-    let outcomes: Vec<SourceOutcome> = slots
-        .into_iter()
-        .map(|s| s.expect("every source slot filled"))
-        .collect();
-    let (reports, stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    (reports, stats, queries, reuse, new_verdicts)
-}
-
 /// The outcome the summary engine synthesises for a gated source: the
 /// whole-program gate proved its search would visit nothing fruitful, so
 /// it contributes no events, no verdicts, and no cost — exactly what the
@@ -885,158 +879,6 @@ fn gated_outcome(fid: FuncId) -> SourceOutcome {
         callers_consulted: Vec::new(),
         globals_consulted: Vec::new(),
     }
-}
-
-/// [`run_spec`] with the summary engine: every source is first tested
-/// against the prebuilt whole-program interface summaries
-/// ([`crate::vfsummary::ModuleSummaries`]); sources the gate proves
-/// fruitless get a synthesised empty outcome, the rest run the unchanged
-/// demand-driven search. All outcomes feed the same canonical merge, so
-/// reports (and query attribution — gated sources evaluate no
-/// candidates) are byte-identical to [`run_spec`] at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec_summary(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
-    verdicts: &VerdictTable,
-    spec: &Spec,
-    kind: Option<CheckerKind>,
-    config: DetectConfig,
-    threads: usize,
-    trace: &mut TraceBuf,
-    sums: &crate::vfsummary::ModuleSummaries,
-) -> DetectOutput {
-    let sources = enumerate_sources(module, spec);
-    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
-    let mut rerun: Vec<(usize, (FuncId, SourceSite))> = Vec::new();
-    for (i, &(fid, s)) in sources.iter().enumerate() {
-        if sums.source_fruitful(module, segs, spec, fid, s) {
-            slots.push(None);
-            rerun.push((i, (fid, s)));
-        } else {
-            slots.push(Some(gated_outcome(fid)));
-        }
-    }
-    let gated = (sources.len() - rerun.len()) as u64;
-    if !rerun.is_empty() {
-        let cx = SpecContext::build(module, segs, spec, kind, config);
-        let rerun_sources: Vec<(FuncId, SourceSite)> = rerun.iter().map(|&(_, src)| src).collect();
-        let fresh = run_sources(
-            &cx,
-            &rerun_sources,
-            symbols,
-            arena,
-            verdicts,
-            threads,
-            trace,
-        );
-        for ((slot, _), outcome) in rerun.into_iter().zip(fresh) {
-            slots[slot] = Some(outcome);
-        }
-    }
-    let outcomes: Vec<SourceOutcome> = slots
-        .into_iter()
-        .map(|s| s.expect("every source slot filled"))
-        .collect();
-    let (mut reports, mut stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    stats.summary_gated = gated;
-    stats.summary_built = sums.built;
-    stats.summary_reused = sums.reused;
-    stats.summary_composed = sums.composed;
-    if threads > 1 && faults::drop_last_report_mt() {
-        reports.pop();
-    }
-    (reports, stats, queries, new_verdicts)
-}
-
-/// [`run_spec_cached`] with the summary engine: gated sources bypass the
-/// per-source query cache entirely — their cached cone would not cover
-/// the summary consultations the gate made, so they are neither read
-/// from nor written to it — while fruitful sources go through the normal
-/// cone-fingerprint reuse path. Gated sources count in
-/// [`DetectStats::summary_gated`], not in the [`QueryReuse`] split.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_spec_summary_cached(
-    module: &Module,
-    segs: &ModuleSeg,
-    symbols: &Symbols,
-    arena: &Arc<TermArena>,
-    verdicts: &VerdictTable,
-    spec: &Spec,
-    kind: Option<CheckerKind>,
-    config: DetectConfig,
-    threads: usize,
-    trace: &mut TraceBuf,
-    keys: &[u128],
-    cache: &mut QueryCache,
-    sums: &crate::vfsummary::ModuleSummaries,
-) -> CachedDetectOutput {
-    let spec_fp = spec_fingerprint(spec, &config);
-    let sources = enumerate_sources(module, spec);
-    let mut slots: Vec<Option<SourceOutcome>> = Vec::with_capacity(sources.len());
-    let mut rerun: Vec<(usize, (FuncId, SourceSite))> = Vec::new();
-    let mut gated = 0u64;
-    for (i, &(fid, s)) in sources.iter().enumerate() {
-        if !sums.source_fruitful(module, segs, spec, fid, s) {
-            gated += 1;
-            slots.push(Some(gated_outcome(fid)));
-            continue;
-        }
-        let key = (spec_fp, fid, s.site, s.value);
-        let hit = cache.entries.get(&key).and_then(|e| {
-            (cone_fingerprint(&e.outcome, segs, keys) == Some(e.cone_fp)).then(|| e.outcome.clone())
-        });
-        match hit {
-            Some(outcome) => slots.push(Some(outcome)),
-            None => {
-                slots.push(None);
-                rerun.push((i, (fid, s)));
-            }
-        }
-    }
-    let reuse = QueryReuse {
-        reused: sources.len() as u64 - gated - rerun.len() as u64,
-        rerun: rerun.len() as u64,
-    };
-    if !rerun.is_empty() {
-        let cx = SpecContext::build(module, segs, spec, kind, config);
-        let rerun_sources: Vec<(FuncId, SourceSite)> = rerun.iter().map(|&(_, src)| src).collect();
-        let fresh = run_sources(
-            &cx,
-            &rerun_sources,
-            symbols,
-            arena,
-            verdicts,
-            threads,
-            trace,
-        );
-        for ((slot, (fid, s)), outcome) in rerun.into_iter().zip(fresh) {
-            if let Some(fp) = cone_fingerprint(&outcome, segs, keys) {
-                cache.entries.insert(
-                    (spec_fp, fid, s.site, s.value),
-                    CachedSource {
-                        cone_fp: fp,
-                        outcome: outcome.clone(),
-                    },
-                );
-            }
-            slots[slot] = Some(outcome);
-        }
-    }
-    let outcomes: Vec<SourceOutcome> = slots
-        .into_iter()
-        .map(|s| s.expect("every source slot filled"))
-        .collect();
-    let (reports, mut stats, queries, new_verdicts) =
-        merge_outcomes(module, spec, sources.len(), outcomes);
-    stats.summary_gated = gated;
-    stats.summary_built = sums.built;
-    stats.summary_reused = sums.reused;
-    stats.summary_composed = sums.composed;
-    (reports, stats, queries, reuse, new_verdicts)
 }
 
 impl<'cx, 'a> Worker<'cx, 'a> {

@@ -1,7 +1,7 @@
 //! The typed error surface of the public pipeline API.
 //!
 //! Every fallible entry point — [`crate::AnalysisBuilder`],
-//! [`crate::Analysis::update_incremental`], the CLI — returns
+//! [`crate::Workspace::update_source`], the CLI — returns
 //! [`PinpointError`] instead of a boxed trait object, so callers can
 //! match on the failure stage programmatically.
 

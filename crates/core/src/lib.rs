@@ -53,6 +53,7 @@ pub mod query;
 pub mod seg;
 pub mod server;
 pub mod spec;
+mod state;
 pub mod summary;
 pub mod telemetry;
 pub mod vfsummary;

@@ -131,14 +131,11 @@ impl Workspace {
     /// requests for.
     pub fn query(&mut self, query: &Query) -> QueryResponse {
         match query {
-            Query::Check(kind) => QueryResponse::Reports(self.run_kind(*kind)),
-            Query::All => QueryResponse::Reports(
-                CheckerKind::ALL
-                    .into_iter()
-                    .flat_map(|k| self.run_kind_all(k))
-                    .collect(),
-            ),
-            Query::Custom(spec) => QueryResponse::Reports(self.run_custom(spec)),
+            Query::Check(kind) => {
+                QueryResponse::Reports(self.run(&kind.spec(), Some(*kind), false))
+            }
+            Query::All => QueryResponse::Reports(self.run_all()),
+            Query::Custom(spec) => QueryResponse::Reports(self.run(spec, None, false)),
             Query::Leaks => QueryResponse::Leaks(self.run_leaks()),
         }
     }

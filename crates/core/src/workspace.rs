@@ -72,20 +72,20 @@
 //! # Ok::<(), pinpoint_core::PinpointError>(())
 //! ```
 
-use crate::detect::{
-    run_spec_cached, run_spec_summary_cached, DetectConfig, DetectStats, QueryCache, Report,
-};
-use crate::driver::{
-    accumulate_detect, build_metrics, Analysis, AnalysisBuilder, PipelineStats, UpdateOutcome,
-};
+use crate::detect::{DetectConfig, Report};
+use crate::driver::{compile_typed, Analysis, AnalysisBuilder, PipelineStats, UpdateOutcome};
 use crate::error::PinpointError;
+use crate::seg::ModuleSeg;
 use crate::spec::CheckerKind;
-use crate::vfsummary::{keys_fingerprint, summary_fingerprint, Engine, ModuleSummaries};
-use pinpoint_cache::CacheStore;
-use pinpoint_obs::{queries_json, MetricsRegistry, ProfileTable, QueryRecord, TraceBuf};
-use pinpoint_smt::VerdictTable;
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use crate::state::DetectState;
+use pinpoint_cache::{config_fp, module_keys};
+use pinpoint_ir::{FuncId, Module};
+use pinpoint_obs::{MetricsRegistry, QueryRecord};
+use pinpoint_pta::ModuleAnalysis;
+use pinpoint_smt::TermArena;
+use std::collections::HashSet;
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Cumulative reuse counters across a workspace's lifetime.
 #[derive(Debug, Default, Clone, Copy)]
@@ -106,35 +106,14 @@ pub struct WorkspaceCounters {
 #[derive(Debug)]
 pub struct Workspace {
     analysis: Analysis,
-    cache: QueryCache,
     /// Detection configuration for this workspace's queries (starts from
     /// the artefact's build-time configuration; see
     /// [`Workspace::set_detect_config`]).
     config: DetectConfig,
-    /// Whole-program interface summaries per property fingerprint,
-    /// validated by the fingerprint of the artefact's per-function keys:
-    /// an edit changes the keys of exactly the edited functions and (via
-    /// transitive folding) their SCCs' callers, so a stale entry rebuilds
-    /// — consulting the persistent store, where every clean function's
-    /// summary is still a hit.
-    summaries: HashMap<u128, (u128, ModuleSummaries)>,
-    /// Call-graph condensation for the current artefact, built lazily by
-    /// the first summary-engine query and dropped on every edit.
-    callgraph: Option<pinpoint_ir::CallGraph>,
+    /// Detection state with the per-source query cache (layer 2).
+    state: DetectState,
+    /// Artefact-layer counters; the query-layer ones live in `state`.
     counters: WorkspaceCounters,
-    detect: DetectStats,
-    detect_time: Duration,
-    queries: Vec<QueryRecord>,
-    trace: TraceBuf,
-    /// The workspace's accumulating verdict table, seeded from the
-    /// artefact's persisted snapshot. Verdicts survive edits — canonical
-    /// fingerprints are arena-independent, so even a full fallback (which
-    /// clears the per-source query cache) keeps them valid.
-    verdicts: VerdictTable,
-    /// Table size at the last persist — the already-durable prefix.
-    persisted_len: usize,
-    /// Verdicts newly written to the persistent store by this workspace.
-    verdicts_persisted: u64,
 }
 
 impl Workspace {
@@ -149,23 +128,11 @@ impl Workspace {
 
     /// Wraps an already-built artefact in a workspace.
     pub fn from_analysis(analysis: Analysis) -> Self {
-        let trace = analysis.trace().clone();
-        let verdicts = analysis.verdicts.clone();
-        let config = analysis.config();
         Workspace {
+            config: analysis.config(),
+            state: DetectState::new(&analysis, true),
             analysis,
-            cache: QueryCache::default(),
-            config,
-            summaries: HashMap::new(),
-            callgraph: None,
             counters: WorkspaceCounters::default(),
-            detect: DetectStats::default(),
-            detect_time: Duration::ZERO,
-            queries: Vec::new(),
-            trace,
-            persisted_len: verdicts.len(),
-            verdicts,
-            verdicts_persisted: 0,
         }
     }
 
@@ -177,18 +144,27 @@ impl Workspace {
 
     /// Cumulative reuse counters.
     pub fn counters(&self) -> WorkspaceCounters {
-        self.counters
+        WorkspaceCounters {
+            queries_reused: self.state.reuse.reused,
+            queries_rerun: self.state.reuse.rerun,
+            ..self.counters
+        }
     }
 
     /// Number of per-source outcomes currently cached.
     pub fn cached_queries(&self) -> usize {
-        self.cache.len()
+        self.state.cached_queries()
     }
 
     /// Replaces the program with an edited version, reusing the previous
     /// artefact for everything the edit did not dirty (layer 1 of the
-    /// [module docs](self)). The query cache survives — entries are
-    /// validated per source on the next check — except on a full
+    /// [module docs](self)). The edit is detected automatically: the new
+    /// module's per-function fingerprint keys are diffed against the
+    /// previous build's, and exactly the functions whose keys changed —
+    /// the edited ones plus, because keys are transitive over the call
+    /// graph, their transitive callers — are re-analysed (see
+    /// [`pinpoint_pta::incremental`]). The query cache survives — entries
+    /// are validated per source on the next check — except on a full
     /// fallback, which rebuilds the term arena and therefore clears it.
     ///
     /// # Errors
@@ -196,16 +172,91 @@ impl Workspace {
     /// Returns typed front-end errors for the new source; the workspace
     /// is unchanged when it does.
     pub fn update_source(&mut self, new_source: &str) -> Result<UpdateOutcome, PinpointError> {
-        let outcome = self.analysis.update_incremental(new_source)?;
-        self.callgraph = None;
-        if outcome.fell_back {
-            // The artefact (term arena included) was rebuilt from
-            // scratch: cached outcomes reference the dead arena lineage.
-            self.cache.clear();
-        }
+        let new_module = compile_typed(new_source)?;
+        let outcome = self.update_module(new_module);
+        self.state.artefact_replaced(outcome.fell_back);
         self.counters.funcs_dirty += outcome.reanalyzed as u64;
         self.counters.funcs_reused += outcome.reused as u64;
         Ok(outcome)
+    }
+
+    /// Splices the artefact for an already-compiled (pre-transform)
+    /// module: re-analyses the key-dirty functions and reuses the rest.
+    fn update_module(&mut self, mut new_module: Module) -> UpdateOutcome {
+        let a = &mut self.analysis;
+        let keys_span = self.state.trace.open("keys", "");
+        let new_keys = module_keys(&new_module, config_fp(&a.pta_config));
+        self.state.trace.close(keys_span);
+        // Key diffs are caller-closed: an edit anywhere below a function
+        // changes that function's transitive key, so the dirty set needs
+        // no further closure. A shape change (different function count)
+        // dirties everything; `analyze_module_incremental_dirty` then
+        // falls back to a full run via its own shape check.
+        let all = |n: usize| (0..n).map(|i| FuncId(i as u32)).collect::<HashSet<_>>();
+        let key_dirty: HashSet<FuncId> = if new_keys.len() == a.func_keys.len() {
+            new_keys
+                .iter()
+                .zip(&a.func_keys)
+                .enumerate()
+                .filter(|(_, (n, o))| n != o)
+                .map(|(i, _)| FuncId(i as u32))
+                .collect()
+        } else {
+            all(new_module.funcs.len())
+        };
+        // Reassemble the ModuleAnalysis (the artefact holds the arena
+        // separately for detection-time term building).
+        let mut old = std::mem::replace(&mut a.pta, blank_module_analysis());
+        old.arena = take_arena(&mut a.arena);
+        let outcome = pinpoint_pta::analyze_module_incremental_dirty(
+            &mut new_module,
+            &a.module,
+            old,
+            &key_dirty,
+        );
+        let reanalyzed = outcome.reanalyzed.len();
+        let dirty: HashSet<FuncId> = if outcome.fell_back {
+            all(new_module.funcs.len())
+        } else {
+            outcome.reanalyzed.iter().copied().collect()
+        };
+        a.module = new_module;
+        a.pta = outcome.analysis;
+        a.stats.pta = a.pta.total_stats();
+        // Rebuild SEGs only for the re-analysed functions.
+        let t1 = Instant::now();
+        let mut arena = std::mem::take(&mut a.pta.arena);
+        let mut symbols = std::mem::take(&mut a.pta.symbols);
+        let old_segs = std::mem::replace(
+            &mut a.segs,
+            ModuleSeg {
+                segs: Vec::new(),
+                callers: std::collections::HashMap::new(),
+                global_stores: std::collections::BTreeMap::new(),
+                global_loads: std::collections::BTreeMap::new(),
+                vertex_count: 0,
+                edge_count: 0,
+            },
+        );
+        a.segs = ModuleSeg::build_reusing(
+            &a.module,
+            &mut arena,
+            &mut symbols,
+            &a.pta.pta,
+            Some((old_segs, &dirty)),
+        );
+        a.pta.symbols = symbols;
+        a.arena = Arc::new(arena);
+        a.stats.seg_time = t1.elapsed();
+        a.stats.seg_vertices = a.segs.vertex_count;
+        a.stats.seg_edges = a.segs.edge_count;
+        a.stats.terms = a.arena.len();
+        a.func_keys = new_keys;
+        UpdateOutcome {
+            reanalyzed,
+            reused: a.module.funcs.len().saturating_sub(reanalyzed),
+            fell_back: outcome.fell_back,
+        }
     }
 
     /// Replaces the detection configuration for subsequent queries.
@@ -223,172 +274,44 @@ impl Workspace {
         self.config
     }
 
-    /// One built-in checker (the [`Query::Check`](crate::query::Query)
-    /// arm).
-    pub(crate) fn run_kind(&mut self, kind: CheckerKind) -> Vec<Report> {
-        let spec = kind.spec();
-        let engine = self.analysis.engine().unwrap_or(Engine::Demand);
-        self.run(&spec, Some(kind), engine)
-    }
-
-    /// One built-in checker as part of a whole-program query (the
-    /// [`Query::All`](crate::query::Query) arm) — defaults to the
-    /// summary engine.
-    pub(crate) fn run_kind_all(&mut self, kind: CheckerKind) -> Vec<Report> {
-        let spec = kind.spec();
-        let engine = self.analysis.engine().unwrap_or(Engine::Summary);
-        self.run(&spec, Some(kind), engine)
-    }
-
-    /// A user-defined specification (the
-    /// [`Query::Custom`](crate::query::Query) arm).
-    pub(crate) fn run_custom(&mut self, spec: &crate::spec::Spec) -> Vec<Report> {
-        let engine = self.analysis.engine().unwrap_or(Engine::Demand);
-        self.run(spec, None, engine)
-    }
-
-    /// The memory-leak pass (the [`Query::Leaks`](crate::query::Query)
-    /// arm). Leak checking is a whole-module graph reachability pass
-    /// without per-source structure, so it is not query-cached; it is
-    /// still incremental through layer 1 (it reads the spliced SEGs).
-    pub(crate) fn run_leaks(&mut self) -> Vec<crate::leak::LeakReport> {
-        let t0 = Instant::now();
-        let span = self.trace.open("detect", "memory-leak");
-        let mut symbols = self.analysis.pta.symbols.clone();
-        let mut arena = (*self.analysis.arena).clone();
-        let reports = crate::leak::check_leaks(
-            &self.analysis.module,
-            &self.analysis.segs,
-            &mut symbols,
-            &mut arena,
-        );
-        self.trace.close(span);
-        self.detect_time += t0.elapsed();
-        reports
-    }
-
-    /// In-memory whole-program summaries for `spec`, validated against
-    /// the artefact's current per-function keys (an edit changes the keys
-    /// of every function whose summary could differ, so a key-fingerprint
-    /// match proves the cached table is still exact). Stale or missing
-    /// tables rebuild through the persistent store, where per-function
-    /// entries for clean cones are still hits.
-    fn summaries_for(&mut self, spec: &crate::spec::Spec) -> ModuleSummaries {
-        let sum_fp = summary_fingerprint(spec);
-        let keys_fp = keys_fingerprint(&self.analysis.func_keys);
-        if let Some((fp, mut sums)) = self.summaries.remove(&sum_fp) {
-            if fp == keys_fp {
-                sums.reused = sums.len() as u64;
-                sums.built = 0;
-                sums.composed = 0;
-                return sums;
-            }
-        }
-        if self.callgraph.is_none() {
-            self.callgraph = Some(pinpoint_ir::CallGraph::new(&self.analysis.module));
-        }
-        let mut store = self
-            .analysis
-            .cache_dir
-            .as_deref()
-            .and_then(|dir| CacheStore::open(dir).ok());
-        ModuleSummaries::build_with_graph(
-            &self.analysis.module,
-            &self.analysis.segs,
-            spec,
-            self.analysis.threads(),
-            store
-                .as_mut()
-                .map(|st| (st, self.analysis.func_keys.as_slice())),
-            self.callgraph.as_ref().expect("just built"),
-        )
-    }
-
-    fn run(
+    /// One property (the [`Query`](crate::query::Query) check arms);
+    /// `whole_program` selects the [`Query::All`](crate::query::Query)
+    /// engine default.
+    pub(crate) fn run(
         &mut self,
         spec: &crate::spec::Spec,
         kind: Option<CheckerKind>,
-        engine: Engine,
+        whole_program: bool,
     ) -> Vec<Report> {
-        let t0 = Instant::now();
-        let span = self.trace.open("detect", spec.name.clone());
-        let base_id = u32::try_from(self.queries.len()).expect("query count fits u32");
-        let config = self.config;
-        let threads = self.analysis.threads();
-        let (reports, stats, mut queries, reuse, new_verdicts) = match engine {
-            Engine::Demand => run_spec_cached(
-                &self.analysis.module,
-                &self.analysis.segs,
-                &self.analysis.pta.symbols,
-                &self.analysis.arena,
-                &self.verdicts,
-                spec,
-                kind,
-                config,
-                threads,
-                &mut self.trace,
-                &self.analysis.func_keys,
-                &mut self.cache,
-            ),
-            Engine::Summary => {
-                let sums = self.summaries_for(spec);
-                let out = run_spec_summary_cached(
-                    &self.analysis.module,
-                    &self.analysis.segs,
-                    &self.analysis.pta.symbols,
-                    &self.analysis.arena,
-                    &self.verdicts,
-                    spec,
-                    kind,
-                    config,
-                    threads,
-                    &mut self.trace,
-                    &self.analysis.func_keys,
-                    &mut self.cache,
-                    &sums,
-                );
-                let keys_fp = keys_fingerprint(&self.analysis.func_keys);
-                self.summaries
-                    .insert(summary_fingerprint(spec), (keys_fp, sums));
-                out
-            }
-        };
-        self.trace.close(span);
-        for q in &mut queries {
-            q.id += base_id;
-        }
-        self.queries.extend(queries);
-        self.detect_time += t0.elapsed();
-        accumulate_detect(&mut self.detect, &stats);
-        self.counters.queries_reused += reuse.reused;
-        self.counters.queries_rerun += reuse.rerun;
-        for (fp, v) in new_verdicts {
-            self.verdicts.insert(fp, v);
-        }
-        if let Some(dir) = self.analysis.cache_dir.as_deref() {
-            if self.verdicts.len() > self.persisted_len {
-                crate::cache_io::persist_verdicts(dir, &self.verdicts);
-                self.verdicts_persisted += (self.verdicts.len() - self.persisted_len) as u64;
-                self.persisted_len = self.verdicts.len();
-            }
-        }
-        reports
+        self.state
+            .run(&self.analysis, self.config, spec, kind, whole_program)
+    }
+
+    /// Every built-in checker as one whole-program query (the
+    /// [`Query::All`](crate::query::Query) arm).
+    pub(crate) fn run_all(&mut self) -> Vec<Report> {
+        self.state
+            .run_all(&self.analysis, self.config, &CheckerKind::ALL)
+    }
+
+    /// The memory-leak pass (the [`Query::Leaks`](crate::query::Query)
+    /// arm). Not query-cached, but still incremental through layer 1 (it
+    /// reads the spliced SEGs).
+    pub(crate) fn run_leaks(&mut self) -> Vec<crate::leak::LeakReport> {
+        self.state.leaks(&self.analysis)
     }
 
     /// Combined statistics: the artefact's build stages plus the
-    /// workspace's accumulated detection counters and time.
+    /// workspace's accumulated detection counters, time, and cache I/O.
     pub fn stats(&self) -> PipelineStats {
-        let mut s = self.analysis.stats;
-        s.detect = self.detect;
-        s.detect_time = self.detect_time;
-        s
+        self.state.stats(&self.analysis)
     }
 
     /// Per-query solver attribution accumulated so far. Cached sources
     /// replay their recorded events, so warm attribution is identical to
     /// a cold run's.
     pub fn queries(&self) -> &[QueryRecord] {
-        &self.queries
+        self.state.queries()
     }
 
     /// The attribution rows recorded after the first `n` — the slice a
@@ -397,28 +320,25 @@ impl Workspace {
     /// server's slow-query capture). `n` past the end yields an empty
     /// slice.
     pub fn queries_since(&self, n: usize) -> &[QueryRecord] {
-        &self.queries[n.min(self.queries.len())..]
+        let queries = self.queries();
+        &queries[n.min(queries.len())..]
     }
 
     /// The top-`k` most expensive queries so far, rendered as a
     /// "where did the time go" profile table.
     pub fn profile(&self, k: usize) -> String {
-        ProfileTable::build(&self.queries).render(k)
+        self.state.profile(k)
     }
 
     /// The unified metrics registry: the standard five stage families
     /// plus the `workspace.*` reuse counters.
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = build_metrics(
-            &self.analysis,
-            &self.stats(),
-            &self.queries,
-            self.verdicts_persisted,
-        );
-        m.counter_add("workspace.queries.reused", self.counters.queries_reused);
-        m.counter_add("workspace.queries.rerun", self.counters.queries_rerun);
-        m.counter_add("workspace.funcs.dirty", self.counters.funcs_dirty);
-        m.counter_add("workspace.funcs.reused", self.counters.funcs_reused);
+        let mut m = self.state.metrics(&self.analysis);
+        let c = self.counters();
+        m.counter_add("workspace.queries.reused", c.queries_reused);
+        m.counter_add("workspace.queries.rerun", c.queries_rerun);
+        m.counter_add("workspace.funcs.dirty", c.funcs_dirty);
+        m.counter_add("workspace.funcs.reused", c.funcs_reused);
         m
     }
 
@@ -426,12 +346,24 @@ impl Workspace {
     /// `workspace` stage family. `canonical` zeroes wall-clock values
     /// and omits run metadata.
     pub fn stats_json(&self, canonical: bool) -> String {
-        self.metrics().stats_json(
-            &[("threads", self.analysis.threads() as u64)],
-            Some(&queries_json(&self.queries, canonical)),
-            canonical,
-        )
+        self.state.stats_json(self.metrics(), canonical)
     }
+}
+
+/// An empty placeholder `ModuleAnalysis` used while swapping state
+/// during incremental updates.
+fn blank_module_analysis() -> ModuleAnalysis {
+    let mut empty = Module::new();
+    pinpoint_pta::analyze_module(&mut empty)
+}
+
+/// Takes the interner out of its shared handle for mutation. The
+/// workspace's `&mut` receiver guarantees no session borrows the
+/// artefact; worker overlays only hold the `Arc` during a run, so this is
+/// normally free (falls back to a deep clone if a stray handle survives).
+fn take_arena(arena: &mut Arc<TermArena>) -> TermArena {
+    let arc = std::mem::take(arena);
+    Arc::try_unwrap(arc).unwrap_or_else(|a| (*a).clone())
 }
 
 impl AnalysisBuilder {

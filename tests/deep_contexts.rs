@@ -2,7 +2,7 @@
 //! the paper's §5.2 highlights a MySQL use-after-free whose control flow
 //! spans 36 functions across 11 compilation units.
 
-use pinpoint::{Analysis, CheckerKind};
+use pinpoint::{Analysis, CheckerKind, Workspace};
 use std::fmt::Write;
 
 /// Builds a program where the freed pointer travels through a chain of
@@ -134,8 +134,9 @@ fn incremental_update_preserves_verdicts() {
         ..GenConfig::default().with_target_kloc(1.0)
     });
     // Full analysis of the original.
-    let mut analysis = Analysis::from_source(&project.source).unwrap();
-    let before: Vec<String> = analysis
+    let mut ws = Workspace::open(&project.source).unwrap();
+    let before: Vec<String> = ws
+        .analysis()
         .check(CheckerKind::UseAfterFree)
         .iter()
         .map(|r| r.to_string())
@@ -152,14 +153,15 @@ fn incremental_update_preserves_verdicts() {
             &project.source[brace..]
         )
     };
-    let outcome = analysis.update_incremental(&edited).unwrap();
+    let outcome = ws.update_source(&edited).unwrap();
     let reanalyzed = outcome.reanalyzed;
-    let total = analysis.module.funcs.len();
+    let total = ws.analysis().module.funcs.len();
     assert!(
         reanalyzed < total / 2,
         "incremental reuse: {reanalyzed}/{total} re-analysed"
     );
-    let after: Vec<String> = analysis
+    let after: Vec<String> = ws
+        .analysis()
         .check(CheckerKind::UseAfterFree)
         .iter()
         .map(|r| r.to_string())
