@@ -16,13 +16,19 @@
 //! * [`codec`] — a hand-rolled binary codec (no serde) for the artifact
 //!   types: transformed bodies, connector shapes, guarded points-to
 //!   results, and private term arenas;
-//! * [`store`] — the on-disk object store with atomic (temp file +
-//!   rename) writes, per-entry checksums, and hit/miss/invalidation
-//!   counters; a crashed or concurrent run degrades to a cold run, never
-//!   a corrupt one.
+//! * [`store`] — the on-disk store: one append-only pack of checksummed,
+//!   length-prefixed frames per stage (`objects/<stage>.pack`), indexed
+//!   in one pass on a stage's first probe (the last valid frame of a key
+//!   wins) and appended in one locked, key-ordered write per stage flush,
+//!   with hit/miss/invalidation counters. A torn, truncated, stale,
+//!   foreign or concurrently written pack degrades to a cold run, never
+//!   a wrong one; a torn tail is cut by the next writer.
 //!
-//! The [`PtaArtifactStore`] adapter plugs a [`CacheStore`] into
-//! [`pinpoint_pta::analyze_module_cached`].
+//! Callers [`CacheStore::flush`] when the stage that produced the stores
+//! ends, so at most one stage's frames are buffered in memory. The
+//! [`PtaArtifactStore`] adapter plugs a [`CacheStore`] into
+//! [`pinpoint_pta::analyze_module_cached`]; its caller flushes after the
+//! points-to stage.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,7 +39,9 @@ pub mod store;
 
 pub use codec::{ByteReader, ByteWriter, DecodeError};
 pub use keys::{config_fp, module_keys};
-pub use store::{CacheInfo, CacheStats, CacheStore, VerifyOutcome, FORMAT_VERSION, HEADER_LEN};
+pub use store::{
+    CacheInfo, CacheStats, CacheStore, CorruptFrame, VerifyOutcome, FORMAT_VERSION, HEADER_LEN,
+};
 
 use pinpoint_pta::{ArtifactStore, FuncArtifact};
 

@@ -398,8 +398,9 @@ pub fn load_verdicts(dir: &Path) -> VerdictTable {
         .unwrap_or_default()
 }
 
-/// Persists `table` to `dir` (atomic temp-file + rename, checksummed
-/// frame). Failures are swallowed — the next run just starts cold.
+/// Persists `table` to `dir` as one checksummed frame appended to the
+/// `verdicts` pack; the last valid frame wins on load. Failures are
+/// swallowed — the next run just starts cold.
 pub fn persist_verdicts(dir: &Path, table: &VerdictTable) {
     if let Ok(mut store) = CacheStore::open(dir) {
         store_verdicts(&mut store, table);
@@ -410,6 +411,7 @@ pub fn persist_verdicts(dir: &Path, table: &VerdictTable) {
 /// then include the write.
 pub(crate) fn store_verdicts(store: &mut CacheStore, table: &VerdictTable) {
     store.store("verdicts", verdict_store_key(), &encode_verdicts(table));
+    store.flush();
 }
 
 // ---------------------------------------------------------------------
@@ -565,16 +567,7 @@ mod tests {
         assert_eq!(back.get(7), Some(&Verdict::Unsat));
         // Flip one payload bit: the frame checksum rejects the record and
         // the table degrades to cold.
-        let obj = std::fs::read_dir(dir.join("objects"))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .find(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("verdicts-"))
-            })
-            .unwrap();
+        let obj = dir.join("objects/verdicts.pack");
         let mut raw = std::fs::read(&obj).unwrap();
         let last = raw.len() - 1;
         raw[last] ^= 1;

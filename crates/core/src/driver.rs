@@ -324,6 +324,7 @@ impl AnalysisBuilder {
                     &func_keys,
                     &mut adapter,
                 );
+                store.flush();
                 pta
             }
             None => analyze_module_par(&mut module, &self.pta, self.threads, &mut trace),
@@ -359,7 +360,8 @@ impl AnalysisBuilder {
             ),
         };
         trace.close(seg_span);
-        if let Some(store) = &cache {
+        if let Some(store) = &mut cache {
+            store.flush();
             stats.cache = store.stats();
         }
         pta.symbols = symbols;
@@ -1155,33 +1157,40 @@ mod tests {
             .build_source(VERDICT_WORKLOAD)
             .unwrap();
         let cold_reports = full_reports(&cold, 1);
-        let objects = dir.join("objects");
-        let verdict_file = std::fs::read_dir(&objects)
-            .unwrap()
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .find(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("verdicts-"))
-            })
-            .expect("verdict record persisted");
+        let verdict_file = dir.join("objects/verdicts.pack");
         let pristine = std::fs::read(&verdict_file).unwrap();
         assert!(pristine.len() > 40, "frame has header + payload");
-
+        // The pack holds one frame per persist (the table grew across
+        // checkers); an earlier valid frame would stand in for a damaged
+        // later one, so each corruption hits every frame.
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < pristine.len() {
+            let len = u64::from_le_bytes(pristine[at + 24..at + 32].try_into().unwrap());
+            let end = at + pinpoint_cache::HEADER_LEN + len as usize;
+            frames.push(at..end);
+            at = end;
+        }
+        let each_frame = |edit: &dyn Fn(&mut [u8])| {
+            let mut b = pristine.clone();
+            for f in &frames {
+                edit(&mut b[f.clone()]);
+            }
+            b
+        };
         let corruptions: Vec<(&str, Vec<u8>)> = vec![
-            ("truncated", pristine[..pristine.len() / 2].to_vec()),
-            ("bit-flipped payload", {
-                let mut b = pristine.clone();
-                let i = b.len() - 3;
-                b[i] ^= 0x40;
-                b
-            }),
-            ("wrong format version", {
-                let mut b = pristine.clone();
-                b[4] = b[4].wrapping_add(1);
-                b
-            }),
+            ("truncated", pristine[..frames[0].end / 2].to_vec()),
+            (
+                "bit-flipped payload",
+                each_frame(&|b| {
+                    let i = b.len() - 3;
+                    b[i] ^= 0x40;
+                }),
+            ),
+            (
+                "wrong format version",
+                each_frame(&|b| b[4] = b[4].wrapping_add(1)),
+            ),
         ];
         for (what, bytes) in corruptions {
             std::fs::write(&verdict_file, &bytes).unwrap();

@@ -331,6 +331,7 @@ impl ModuleSummaries {
                     &crate::cache_io::encode_func_summary(s),
                 );
             }
+            store.flush();
         }
         ModuleSummaries {
             funcs: funcs

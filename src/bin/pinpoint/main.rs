@@ -212,6 +212,7 @@ fn cache_cmd(args: &[String]) -> Result<bool, CliError> {
             println!("entries:     {}", info.entries);
             println!("bytes:       {}", info.bytes);
             println!("temp files:  {}", info.temp_files);
+            println!("legacy files: {}", info.legacy_files);
             Ok(false)
         }
         "clear" => {
@@ -224,8 +225,8 @@ fn cache_cmd(args: &[String]) -> Result<bool, CliError> {
                 CacheStore::verify(dir).map_err(|e| format!("cannot verify cache: {e}"))?;
             println!("ok:          {}", outcome.ok);
             println!("corrupt:     {}", outcome.corrupt.len());
-            for p in &outcome.corrupt {
-                println!("  {}", p.display());
+            for frame in &outcome.corrupt {
+                println!("  {frame}");
             }
             // Corrupt entries are reported through the exit code like
             // reports are: 1 = findings.

@@ -179,3 +179,53 @@ fn stage_statistics_identical_across_thread_counts() {
     assert_eq!(a1.stats.terms, a4.stats.terms);
     assert_eq!(a1.structural_bytes(), a4.structural_bytes());
 }
+
+/// The persistent cache writes each stage's frames in key order, so two
+/// cold runs at different thread counts leave byte-identical packs — at
+/// most one file per stage.
+#[test]
+fn cache_packs_identical_across_thread_counts() {
+    let project = generate(&GenConfig {
+        seed: 23,
+        real_bugs: 2,
+        decoys: 2,
+        taint: true,
+        ..GenConfig::default().with_target_kloc(2.0)
+    });
+    let packs = |threads: usize| {
+        let dir = std::env::temp_dir().join(format!(
+            "pinpoint-pack-determinism-{}-{threads}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let analysis = AnalysisBuilder::new()
+            .threads(threads)
+            .cache_dir(&dir)
+            .build_source(&project.source)
+            .expect("source compiles");
+        analysis.session().check_all();
+        drop(analysis);
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir.join("objects"))
+            .expect("objects dir")
+            .map(|e| {
+                let path = e.expect("dir entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("readable pack"))
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    };
+    let sequential = packs(1);
+    let names: Vec<&str> = sequential.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        ["pta.pack", "seg.pack", "verdicts.pack", "vfsum.pack"],
+        "one pack per stage"
+    );
+    assert!(
+        sequential == packs(3),
+        "threads=3 packs differ from threads=1"
+    );
+}
